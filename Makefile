@@ -35,11 +35,13 @@ bench-compare:
 # The in-tree perf floors: the ≥5× fast-ingest speedup guard, the exact-mode
 # batch never-slower guard, the FD blocked-ingest guard, the steady-state
 # zero-allocation assertions, the ≥2× sharded scaling floor at 4 workers,
-# and the shared-ingestion-pool never-slower floor (pool at 4 workers ≥
-# 0.5× a 16-lane pool). The scaling guards need ≥4 procs and skip —
-# loudly — on smaller machines. CI runs exactly this target.
+# the shared-ingestion-pool never-slower floor (pool at 4 workers ≥
+# 0.5× a 16-lane pool), and the HTTP rows decode floor (single-pass
+# decoder ≥ 1.5× encoding/json on a 500×44 body, allocations flat in the
+# row count). The scaling guards need ≥4 procs and skip — loudly — on
+# smaller machines. CI runs exactly this target.
 perf-guard:
-	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestPoolNoSlowerGuard' -v -count=1 ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/service
+	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestPoolNoSlowerGuard|TestRowsDecodeGuard' -v -count=1 ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/service
 
 # Multi-node end-to-end smoke: distsite streams into distserve over the
 # wire protocol on loopback, the coordinator is kill -9'd and restarted

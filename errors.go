@@ -24,8 +24,10 @@ var (
 	// session's configured dimension d.
 	ErrDimensionMismatch = errors.New("distmat: row dimension mismatch")
 
-	// ErrInvalidItem reports a stream item a session cannot ingest: a
-	// non-positive weight, or a quantile value outside [0, 2^Bits).
+	// ErrInvalidItem reports a stream item a session cannot ingest: an
+	// item weight that is not finite and positive, a quantile value outside
+	// [0, 2^Bits), or a matrix row whose squared norm is not finite (NaN,
+	// ±Inf, or entries large enough to overflow ‖row‖²).
 	ErrInvalidItem = errors.New("distmat: invalid stream item")
 
 	// ErrInvalidQuery reports an out-of-range query parameter, e.g. a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -235,8 +236,8 @@ func (st *ShardedItemTracker) ProcessItems(site int, items []gen.WeightedItem) {
 		panic(fmt.Sprintf("core: sharded item tracker: site %d out of range [0,%d)", site, st.m))
 	}
 	for _, it := range items {
-		if it.Weight <= 0 {
-			panic(fmt.Sprintf("core: sharded item tracker: need positive weight, got %v", it.Weight))
+		if !validWeight(it.Weight) {
+			panic(fmt.Sprintf("core: sharded item tracker: need a finite positive weight, got %v", it.Weight))
 		}
 	}
 	for start := 0; start < len(items); start += shardChunkItems {
@@ -252,10 +253,14 @@ func (st *ShardedItemTracker) validate(site int, weight float64) {
 	if site < 0 || site >= st.m {
 		panic(fmt.Sprintf("core: sharded item tracker: site %d out of range [0,%d)", site, st.m))
 	}
-	if weight <= 0 {
-		panic(fmt.Sprintf("core: sharded item tracker: need positive weight, got %v", weight))
+	if !validWeight(weight) {
+		panic(fmt.Sprintf("core: sharded item tracker: need a finite positive weight, got %v", weight))
 	}
 }
+
+// validWeight reports whether w is finite and positive; NaN fails, as
+// every comparison with it does.
+func validWeight(w float64) bool { return w > 0 && !math.IsInf(w, 1) }
 
 // deal copies one chunk into a pooled buffer and enqueues it on the next
 // shard's queue (round-robin).

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -120,6 +122,12 @@ func TestShardedItemBatchAtomicity(t *testing.T) {
 	mustPanic("zero weight mid-batch", func() { st.ProcessItems(0, bad) })
 	mustPanic("bad site", func() { st.ProcessItems(2, []gen.WeightedItem{{Elem: 1, Weight: 1}}) })
 	mustPanic("per-item bad weight", func() { st.Process(0, 1, -1) })
+	for _, w := range []float64{math.NaN(), math.Inf(1)} {
+		mustPanic(fmt.Sprintf("%v weight mid-batch", w), func() {
+			st.ProcessItems(0, []gen.WeightedItem{{Elem: 1, Weight: 1}, {Elem: 2, Weight: w}})
+		})
+		mustPanic(fmt.Sprintf("per-item %v weight", w), func() { st.Process(0, 1, w) })
+	}
 	mustPanic("per-item bad site", func() { st.Process(-1, 1, 1) })
 	st.Flush()
 	if len(shard.got) != 0 {

@@ -197,39 +197,31 @@ func siteOf(site *int) (int, error) {
 	return *site, nil
 }
 
-// rowsRequest is the POST rows body. Site, when present, is the explicit
-// origin site (the caller is the site, per the paper's model); absent, the
-// session's assigner deals rows out.
-type rowsRequest struct {
-	Site *int        `json:"site"`
-	Rows [][]float64 `json:"rows"`
-}
-
 func (m *Manager) handleIngestRows(w http.ResponseWriter, r *http.Request) {
 	t, err := m.Get(r.PathValue("name"))
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	var req rowsRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if len(req.Rows) == 0 {
-		writeErr(w, badRequestf("empty rows batch"))
-		return
-	}
-	site, err := siteOf(req.Site)
+	reqSite, rows, err := decodeRowsBody(w, r)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	if err := t.IngestRows(r.Context(), site, req.Rows); err != nil {
+	if len(rows) == 0 {
+		writeErr(w, badRequestf("empty rows batch"))
+		return
+	}
+	site, err := siteOf(reqSite)
+	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ingested": len(req.Rows), "count": t.Count()})
+	if err := t.IngestRows(r.Context(), site, rows); err != nil {
+		writeErr(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"ingested": len(rows), "count": t.Count()})
 }
 
 // itemJSON is one weighted item; "elem" and "value" are aliases (the

@@ -32,8 +32,9 @@ func newValidationServer(t *testing.T) (*httptest.Server, *http.Client) {
 	srv := httptest.NewServer(mgr.Handler())
 	t.Cleanup(srv.Close)
 	for name, spec := range map[string]service.Spec{
-		"hot": {Kind: service.KindHH, Sites: 2, Epsilon: 0.05},
-		"lat": {Kind: service.KindQuantile, Sites: 2, Epsilon: 0.1, Bits: 10},
+		"hot":  {Kind: service.KindHH, Sites: 2, Epsilon: 0.05},
+		"lat":  {Kind: service.KindQuantile, Sites: 2, Epsilon: 0.1, Bits: 10},
+		"gram": {Kind: service.KindMatrix, Sites: 2, Epsilon: 0.1, Dim: 3},
 	} {
 		code, doc := httpDo(t, srv.Client(), http.MethodPut, srv.URL+"/trackers/"+name, spec)
 		mustStatus(t, code, http.StatusCreated, doc)
@@ -59,6 +60,45 @@ func TestIngestBodyTooLarge413(t *testing.T) {
 	code, doc = httpDo(t, client, http.MethodPost, srv.URL+"/trackers/hot/items",
 		map[string]any{"site": 0, "items": items[:4]})
 	mustStatus(t, code, http.StatusOK, doc)
+
+	// The rows endpoint draws the same line.
+	rows := make([][]float64, 100)
+	for i := range rows {
+		rows[i] = []float64{1.25, -2.5, float64(i)}
+	}
+	code, doc = httpDo(t, client, http.MethodPost, srv.URL+"/trackers/gram/rows",
+		map[string]any{"site": 0, "rows": rows})
+	mustStatus(t, code, http.StatusRequestEntityTooLarge, doc)
+	code, doc = httpDo(t, client, http.MethodPost, srv.URL+"/trackers/gram/rows",
+		map[string]any{"site": 0, "rows": rows[:4]})
+	mustStatus(t, code, http.StatusOK, doc)
+}
+
+// TestRowBatchRejectedWhole pins atomic row batches over HTTP: a ragged
+// batch is a 400 that ingests nothing — not even the valid rows before
+// the bad one — so a client that fixes and resends it counts each row
+// once. Non-finite rows are refused the same way.
+func TestRowBatchRejectedWhole(t *testing.T) {
+	srv, client := newValidationServer(t)
+	url := srv.URL + "/trackers/gram/rows"
+	code, doc := httpDo(t, client, http.MethodPost, url,
+		map[string]any{"site": 0, "rows": [][]float64{{1, 2, 3}, {4, 5, 6}}})
+	mustStatus(t, code, http.StatusOK, doc)
+
+	for _, body := range []string{
+		`{"site":0,"rows":[[1,2,3],[4,5,6],[7,8]]}`,
+		`{"rows":[[1,2,3],[4,5,6],[7,8]]}`,
+		`{"site":1,"rows":[[1,2,3],[1e200,0,0],[7,8,9]]}`,
+	} {
+		if code := rawPost(t, client, url, body); code != http.StatusBadRequest {
+			t.Fatalf("body %s: status %d, want 400", body, code)
+		}
+		code, doc := httpDo(t, client, http.MethodGet, srv.URL+"/trackers/gram", nil)
+		mustStatus(t, code, http.StatusOK, doc)
+		if got := doc["count"].(float64); got != 2 {
+			t.Fatalf("body %s: count %v after a rejected batch, want 2", body, got)
+		}
+	}
 }
 
 // TestDecodeRejectsTrailingGarbage pins strict body decoding: exactly

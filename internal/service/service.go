@@ -123,10 +123,11 @@ type Spec struct {
 	// parallel shards merged at query time (Config.Shards): posted blocks
 	// are dealt round-robin across P compute workers, each with a private
 	// tracker instance. For matrix trackers, combined with Fast this is
-	// the service's highest-throughput configuration. Distinct from
-	// Options.Shards, which sets the number of ingest queue workers per
-	// tracker; queue workers enqueue, compute shards run the summaries.
-	// Only windowed matrix trackers reject Shards > 1.
+	// the service's highest-throughput configuration. Unrelated to
+	// Options.Shards, the deprecated alias for Options.PoolWorkers (the
+	// manager-wide ingestion pool size): pool workers apply batches,
+	// compute shards run the summaries. Only windowed matrix trackers
+	// reject Shards > 1.
 	Shards int `json:"shards,omitempty"`
 }
 

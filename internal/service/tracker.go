@@ -221,8 +221,9 @@ func (t *Tracker) serve(req ingestReq) {
 // apply ingests one batch. Row batches flow through the session's blocked
 // batch path (Session.ProcessRows(At) hands whole same-site blocks to the
 // tracker's BatchTracker fast path), so a posted batch costs one blocked
-// ingest, not a per-row loop. On a mid-batch error the preceding entries
-// remain ingested (the session contract); the error reports the index.
+// ingest, not a per-row loop. A batch the session rejects leaves it
+// untouched (row and item batches are atomic); the error reports the
+// offending index.
 //
 // With a WAL attached, direct/HTTP batches (seq == 0) are staged to the
 // log inside the same critical section before the apply — so the log's

@@ -2,6 +2,7 @@ package distmat
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/hh"
@@ -343,8 +344,8 @@ func (s *Session) ProcessRow(row []float64) error {
 	if s.kind != matrixKind {
 		return fmt.Errorf("%w: ProcessRow on a %s session", ErrWrongKind, s.kind)
 	}
-	if len(row) != s.cfg.Dim {
-		return fmt.Errorf("%w: row of length %d, want %d", ErrDimensionMismatch, len(row), s.cfg.Dim)
+	if err := s.checkRow(row); err != nil {
+		return err
 	}
 	site := s.asg.Next()
 	s.draws++
@@ -365,8 +366,8 @@ func (s *Session) ProcessRowAt(site int, row []float64) error {
 	if site < 0 || site >= s.cfg.Sites {
 		return fmt.Errorf("%w: site %d outside [0, %d)", ErrInvalidSite, site, s.cfg.Sites)
 	}
-	if len(row) != s.cfg.Dim {
-		return fmt.Errorf("%w: row of length %d, want %d", ErrDimensionMismatch, len(row), s.cfg.Dim)
+	if err := s.checkRow(row); err != nil {
+		return err
 	}
 	s.ingestRow(site, row)
 	return nil
@@ -395,17 +396,33 @@ func (s *Session) ingestRows(site int, rows [][]float64) {
 	s.count += int64(len(rows))
 }
 
-// validRowPrefix returns the length of the longest prefix of rows with the
-// session's dimension, and an indexed ErrDimensionMismatch for the first
-// offending row (nil if none).
-func (s *Session) validRowPrefix(rows [][]float64) (int, error) {
+// checkRow validates one matrix row: the session's dimension and a finite
+// squared norm, which rules out NaN, ±Inf, and finite entries large enough
+// to overflow ‖row‖².
+func (s *Session) checkRow(row []float64) error {
+	if len(row) != s.cfg.Dim {
+		return fmt.Errorf("%w: row of length %d, want %d", ErrDimensionMismatch, len(row), s.cfg.Dim)
+	}
+	var sq float64
+	for _, v := range row {
+		sq += v * v
+	}
+	if math.IsNaN(sq) || math.IsInf(sq, 0) {
+		return fmt.Errorf("%w: row with non-finite squared norm", ErrInvalidItem)
+	}
+	return nil
+}
+
+// checkRows validates a whole row batch without touching any state,
+// reporting the first offending row by index — so a row batch, like an
+// item batch, is applied whole or not at all.
+func (s *Session) checkRows(rows [][]float64) error {
 	for i, row := range rows {
-		if len(row) != s.cfg.Dim {
-			return i, fmt.Errorf("row %d: %w: row of length %d, want %d",
-				i, ErrDimensionMismatch, len(row), s.cfg.Dim)
+		if err := s.checkRow(row); err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
 		}
 	}
-	return len(rows), nil
+	return nil
 }
 
 // ProcessRows ingests a batch of matrix rows through the blocked batch
@@ -415,9 +432,10 @@ func (s *Session) validRowPrefix(rows [][]float64) (int, error) {
 // draws — is identical to calling ProcessRow once per row; on a sharded
 // session (WithShards) the block boundaries decide which shard each row
 // lands on, so batched and per-row feeds are each deterministic but differ
-// from one another (both hold the same covariance guarantee). On error the
-// valid rows preceding the offending one remain ingested; the error
-// reports its index.
+// from one another (both hold the same covariance guarantee). The batch is
+// atomic: a row of the wrong dimension or with a non-finite squared norm
+// rejects the whole batch, reporting its index, before any assigner draw
+// or tracker change.
 func (s *Session) ProcessRows(rows [][]float64) error {
 	if err := s.checkOpen(); err != nil {
 		return err
@@ -425,11 +443,13 @@ func (s *Session) ProcessRows(rows [][]float64) error {
 	if s.kind != matrixKind {
 		return fmt.Errorf("%w: ProcessRows on a %s session", ErrWrongKind, s.kind)
 	}
-	n, dimErr := s.validRowPrefix(rows)
-	// Draw sites for the valid prefix in row order (the per-row path draws
-	// before each ingest; the interleaving is unobservable). The buffer is
-	// pooled on the session, so the steady-state batch path allocates
-	// nothing here.
+	if err := s.checkRows(rows); err != nil {
+		return err
+	}
+	// Draw sites in row order (the per-row path draws before each ingest;
+	// the interleaving is unobservable). The buffer is pooled on the
+	// session, so the steady-state batch path allocates nothing here.
+	n := len(rows)
 	if cap(s.siteBuf) < n {
 		s.siteBuf = make([]int, n)
 	}
@@ -439,8 +459,8 @@ func (s *Session) ProcessRows(rows [][]float64) error {
 	}
 	s.draws += int64(n)
 	if s.Shards() > 1 {
-		s.ingestCoalesced(rows[:n], sites)
-		return dimErr
+		s.ingestCoalesced(rows, sites)
+		return nil
 	}
 	for start := 0; start < n; {
 		end := start + 1
@@ -450,7 +470,7 @@ func (s *Session) ProcessRows(rows [][]float64) error {
 		s.ingestRows(sites[start], rows[start:end])
 		start = end
 	}
-	return dimErr
+	return nil
 }
 
 // ingestCoalesced regroups an assigner-dealt batch into one run per site —
@@ -500,8 +520,8 @@ func (s *Session) ingestCoalesced(rows [][]float64, sites []int) {
 
 // ProcessRowsAt ingests a batch of matrix rows at an explicit site as one
 // block through the tracker's batch fast path — the hot ingestion surface
-// the service layer drives. On error the valid rows preceding the
-// offending one remain ingested; the error reports its index.
+// the service layer drives. The batch is atomic, as in ProcessRows: an
+// invalid row rejects it whole, reporting the row's index.
 func (s *Session) ProcessRowsAt(site int, rows [][]float64) error {
 	if err := s.checkOpen(); err != nil {
 		return err
@@ -512,9 +532,11 @@ func (s *Session) ProcessRowsAt(site int, rows [][]float64) error {
 	if site < 0 || site >= s.cfg.Sites {
 		return fmt.Errorf("%w: site %d outside [0, %d)", ErrInvalidSite, site, s.cfg.Sites)
 	}
-	n, dimErr := s.validRowPrefix(rows)
-	s.ingestRows(site, rows[:n])
-	return dimErr
+	if err := s.checkRows(rows); err != nil {
+		return err
+	}
+	s.ingestRows(site, rows)
+	return nil
 }
 
 // ProcessItem ingests one weighted item: (element, weight) for
@@ -549,8 +571,8 @@ func (s *Session) ProcessItemAt(site int, it WeightedItem) error {
 }
 
 func (s *Session) checkItem(it WeightedItem) error {
-	if it.Weight <= 0 {
-		return fmt.Errorf("%w: need positive weight, got %v", ErrInvalidItem, it.Weight)
+	if !(it.Weight > 0) || math.IsInf(it.Weight, 1) {
+		return fmt.Errorf("%w: need a finite positive weight, got %v", ErrInvalidItem, it.Weight)
 	}
 	switch s.kind {
 	case hhKind:

@@ -1,7 +1,10 @@
 package distmat_test
 
 import (
+	"bytes"
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	distmat "repro"
@@ -215,16 +218,24 @@ func TestSessionBadInput(t *testing.T) {
 	if err := msess.ProcessRows(bad); !errors.Is(err, distmat.ErrDimensionMismatch) {
 		t.Fatalf("short row: %v", err)
 	}
-	if msess.Count() != 1 {
-		t.Fatalf("count %d after partial batch, want 1", msess.Count())
+	if msess.Count() != 0 {
+		t.Fatalf("count %d after rejected batch, want 0 (row batches are atomic)", msess.Count())
+	}
+	if err := msess.ProcessRow([]float64{1, math.NaN(), 0, 0}); !errors.Is(err, distmat.ErrInvalidItem) {
+		t.Fatalf("NaN row: %v, want ErrInvalidItem", err)
+	}
+	if err := msess.ProcessRowAt(1, []float64{1e200, 0, 0, 0}); !errors.Is(err, distmat.ErrInvalidItem) {
+		t.Fatalf("row overflowing its squared norm: %v, want ErrInvalidItem", err)
 	}
 
 	hsess, err := distmat.NewHHSession("p2", distmat.WithSites(2), distmat.WithEpsilon(0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hsess.ProcessItem(distmat.WeightedItem{Elem: 1, Weight: 0}); !errors.Is(err, distmat.ErrInvalidItem) {
-		t.Fatalf("zero weight: %v", err)
+	for _, w := range []float64{0, math.NaN(), math.Inf(1)} {
+		if err := hsess.ProcessItem(distmat.WeightedItem{Elem: 1, Weight: w}); !errors.Is(err, distmat.ErrInvalidItem) {
+			t.Fatalf("weight %v: %v", w, err)
+		}
 	}
 	if _, err := hsess.HeavyHitters(1.5); !errors.Is(err, distmat.ErrInvalidQuery) {
 		t.Fatalf("phi out of range: %v", err)
@@ -357,4 +368,93 @@ func TestWrapSessions(t *testing.T) {
 	if hsess.Snapshot().Total <= 0 {
 		t.Fatal("wrapped exact protocol tracked nothing")
 	}
+}
+
+// TestRowBatchAtomicity pins the atomic row-batch contract: a batch with
+// one bad row — ragged, NaN, ±Inf, or finite entries that overflow ‖row‖²
+// — is rejected whole, through ProcessRows and ProcessRowsAt alike,
+// leaving the session StateEqual to before and the assigner undrawn. A
+// twin that never saw the rejected batches stays in lockstep with it.
+func TestRowBatchAtomicity(t *testing.T) {
+	const d = 4
+	rows := distmat.LowRankMatrix(distmat.PAMAPLike(400))
+	for i := range rows {
+		rows[i] = rows[i][:d]
+	}
+	build := func() *distmat.Session {
+		t.Helper()
+		sess, err := distmat.NewMatrixSession("p2", distmat.WithSites(3),
+			distmat.WithEpsilon(0.2), distmat.WithDim(d), distmat.WithSeed(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	state := func(s *distmat.Session) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := s.SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	mustEqual := func(what string, a, b []byte) {
+		t.Helper()
+		eq, err := distmat.StateEqual(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !eq {
+			t.Fatalf("%s: session state changed", what)
+		}
+	}
+
+	sess, twin := build(), build()
+	defer sess.Close()
+	defer twin.Close()
+	half := len(rows) / 2
+	for _, s := range []*distmat.Session{sess, twin} {
+		if err := s.ProcessRows(rows[:half]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := state(sess)
+
+	good := []float64{1, 2, 3, 4}
+	bad := map[string]struct {
+		row  []float64
+		want error
+	}{
+		"ragged":   {[]float64{1, 2, 3}, distmat.ErrDimensionMismatch},
+		"NaN":      {[]float64{1, math.NaN(), 0, 0}, distmat.ErrInvalidItem},
+		"+Inf":     {[]float64{math.Inf(1), 0, 0, 0}, distmat.ErrInvalidItem},
+		"-Inf":     {[]float64{0, 0, 0, math.Inf(-1)}, distmat.ErrInvalidItem},
+		"overflow": {[]float64{1e200, 0, 0, 0}, distmat.ErrInvalidItem},
+	}
+	for name, c := range bad {
+		batch := [][]float64{good, good, c.row, good}
+		err := sess.ProcessRows(batch)
+		if !errors.Is(err, c.want) {
+			t.Fatalf("%s: ProcessRows err = %v, want %v", name, err, c.want)
+		}
+		if !strings.HasPrefix(err.Error(), "row 2:") {
+			t.Errorf("%s: err = %q, want the offending index prefix", name, err)
+		}
+		if err := sess.ProcessRowsAt(1, batch); !errors.Is(err, c.want) {
+			t.Fatalf("%s: ProcessRowsAt err = %v, want %v", name, err, c.want)
+		}
+		mustEqual(name, state(sess), before)
+	}
+	if got, want := sess.Count(), int64(half); got != want {
+		t.Fatalf("Count() = %d after rejected batches, want %d", got, want)
+	}
+
+	// No assigner draw escaped: identical continued ingestion keeps the
+	// session and its twin bit-identical.
+	for _, s := range []*distmat.Session{sess, twin} {
+		if err := s.ProcessRows(rows[half:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustEqual("continued ingestion", state(sess), state(twin))
 }

@@ -2,6 +2,7 @@ package distmat_test
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -60,6 +61,17 @@ func TestItemBatchAtomicity(t *testing.T) {
 		}
 		if !strings.HasPrefix(err.Error(), "item 1:") {
 			t.Errorf("%s: bad batch err = %q, want the offending index prefix", kind, err)
+		}
+		// NaN passes a "weight <= 0" test; +Inf is positive. Both poison
+		// the total weight, so both reject the batch.
+		for _, w := range []float64{math.NaN(), math.Inf(1)} {
+			bad := []distmat.WeightedItem{{Elem: 1, Weight: 1}, {Elem: 2, Weight: w}, {Elem: 3, Weight: 1}}
+			if err := sess.ProcessItems(bad); !errors.Is(err, distmat.ErrInvalidItem) {
+				t.Fatalf("%s: weight %v: err = %v, want ErrInvalidItem", kind, w, err)
+			}
+			if err := sess.ProcessItemsAt(0, bad); !errors.Is(err, distmat.ErrInvalidItem) {
+				t.Fatalf("%s: weight %v at site 0: err = %v, want ErrInvalidItem", kind, w, err)
+			}
 		}
 		if err := sess.ProcessItemsAt(7, items[:3]); !errors.Is(err, distmat.ErrInvalidSite) {
 			t.Fatalf("%s: bad site err = %v, want ErrInvalidSite", kind, err)
