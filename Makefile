@@ -41,7 +41,7 @@ bench-compare:
 # row count). The scaling guards need ≥4 procs and skip — loudly — on
 # smaller machines. CI runs exactly this target.
 perf-guard:
-	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestPoolNoSlowerGuard|TestRowsDecodeGuard' -v -count=1 ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/service
+	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestFastSiteColdStartScalarCoalescing|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestPoolNoSlowerGuard|TestRowsDecodeGuard' -v -count=1 ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/service
 
 # Multi-node end-to-end smoke: distsite streams into distserve over the
 # wire protocol on loopback, the coordinator is kill -9'd and restarted

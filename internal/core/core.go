@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/matrix"
 	"repro/internal/stream"
@@ -71,7 +72,7 @@ const (
 	//     block that crosses the λ₁ + newMass bound, so row-ship messages
 	//     may coalesce (never exceeding exact mode's count on the same
 	//     blocks by more than the ship-early factor of 2 already documented
-	//     on P2.shipFrac). Blocked Gram updates reassociate floating-point
+	//     on p2Rule.shipFrac). Blocked Gram updates reassociate floating-point
 	//     sums, so sketch contents may differ from exact mode in the last
 	//     ulps.
 	//
@@ -169,6 +170,19 @@ func CheckParams(m int, eps float64, d int) error {
 func CheckWindow(window int) error {
 	if window < 2 {
 		return fmt.Errorf("core: need window ≥ 2, got %d", window)
+	}
+	return nil
+}
+
+// CheckRow reports whether row is valid site input at dimension d: the
+// right length and a finite, positive squared norm, which rules out NaN,
+// ±Inf, and entries large enough to overflow ‖row‖².
+func CheckRow(row []float64, d int) error {
+	if len(row) != d {
+		return fmt.Errorf("core: row of length %d, want %d", len(row), d)
+	}
+	if sq := matrix.NormSq(row); !(sq > 0) || math.IsInf(sq, 1) {
+		return fmt.Errorf("core: need a finite positive squared row norm, got %v", sq)
 	}
 	return nil
 }

@@ -30,12 +30,9 @@ type P2SmallSpace struct {
 	shipRow []float64
 	wbuf    []float64
 
-	sites []p2sSite
-	// Coordinator state (identical to P2's).
-	gram      *matrix.Sym
-	coordFhat float64
-	siteFhat  float64
-	nmsg      int
+	sites    []p2sSite
+	coord    *P2Coordinator // the coordinator half is P2's
+	siteFhat float64        // F̂ as known to the sites (last broadcast)
 }
 
 type p2sSite struct {
@@ -52,14 +49,13 @@ func NewP2SmallSpace(m int, eps float64, d int) *P2SmallSpace {
 	// FD error ε/4m ⇒ ℓ = ⌈4m/ε⌉ rows per sketch (our FD's 1/(ℓ+1) bound).
 	ell := int(math.Ceil(4 * float64(m) / eps))
 	p := &P2SmallSpace{
-		m:         m,
-		d:         d,
-		eps:       eps,
-		acct:      stream.NewAccountant(m),
-		sites:     make([]p2sSite, m),
-		gram:      matrix.NewSym(d),
-		coordFhat: 1,
-		siteFhat:  1,
+		m:        m,
+		d:        d,
+		eps:      eps,
+		acct:     stream.NewAccountant(m),
+		sites:    make([]p2sSite, m),
+		coord:    NewP2Coordinator(m, d),
+		siteFhat: 1,
 	}
 	for i := range p.sites {
 		p.sites[i].recv = sketch.NewFD(ell, d)
@@ -118,10 +114,10 @@ func (p *P2SmallSpace) ProcessRows(site int, rows [][]float64) {
 	}
 }
 
-// processBlock is the fast-mode batch step, mirroring P2.processBlock: the
-// scalar F̂ side-channel fires at exact row indices, the whole block lands
-// in the receive sketch as one AppendRows, and the λ₁ + newMass deferral is
-// settled once at the block boundary.
+// processBlock is the fast-mode batch step, mirroring P2Site.ProcessBlock:
+// the scalar F̂ side-channel fires at exact row indices, the whole block
+// lands in the receive sketch as one AppendRows, and the λ₁ + newMass
+// deferral is settled once at the block boundary.
 func (p *P2SmallSpace) processBlock(s *p2sSite, rows [][]float64) {
 	if len(rows) == 0 {
 		return
@@ -206,7 +202,7 @@ func (p *P2SmallSpace) decomposeAndSend(s *p2sSite) {
 			r[i] = sigma * vecs.At(i, k)
 		}
 		p.acct.SendUp(1)
-		p.gram.AddOuter(1, r)
+		p.coord.AddRow(r)
 		s.sent.Append(r) // the shipped row joins S̃_j
 		vals[k] = 0
 	}
@@ -223,27 +219,24 @@ func (p *P2SmallSpace) decomposeAndSend(s *p2sSite) {
 }
 
 func (p *P2SmallSpace) coordScalar(fj float64) {
-	p.coordFhat += fj
-	p.nmsg++
-	if p.nmsg >= p.m {
-		p.nmsg = 0
-		p.siteFhat = p.coordFhat
+	if p.coord.AddTotal(fj) {
+		p.siteFhat = p.coord.fhat
 		p.acct.Broadcast(1)
 	}
 }
 
 // Gram implements Tracker.
-func (p *P2SmallSpace) Gram() *matrix.Sym { return p.gram.Clone() }
+func (p *P2SmallSpace) Gram() *matrix.Sym { return p.coord.gram.Clone() }
 
 // Sites implements SiteCounter.
 func (p *P2SmallSpace) Sites() int { return p.m }
 
 // AccumulateGram implements GramAccumulator: the coordinator estimate folds
 // into dst without allocating.
-func (p *P2SmallSpace) AccumulateGram(dst *matrix.Sym, w float64) { dst.AddScaledSym(w, p.gram) }
+func (p *P2SmallSpace) AccumulateGram(dst *matrix.Sym, w float64) { dst.AddScaledSym(w, p.coord.gram) }
 
 // EstimateFrobenius implements Tracker.
-func (p *P2SmallSpace) EstimateFrobenius() float64 { return p.coordFhat }
+func (p *P2SmallSpace) EstimateFrobenius() float64 { return p.coord.fhat }
 
 // Stats implements Tracker.
 func (p *P2SmallSpace) Stats() stream.Stats { return p.acct.Stats() }

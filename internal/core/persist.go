@@ -40,25 +40,53 @@ type P2Snapshot struct {
 	Stats     stream.Stats
 }
 
+// Snapshot captures the site half's state.
+func (s *P2Site) Snapshot() P2SiteSnapshot {
+	var sole []float64
+	if s.soleRow != nil {
+		sole = append(sole, s.soleRow...)
+	}
+	return P2SiteSnapshot{
+		Gram: s.gram.RawData(), Fdelta: s.fdelta, LamBound: s.lamBound,
+		SoleRow: sole, Empty: s.empty,
+	}
+}
+
+// Restore adopts a site snapshot and the F̂ the site had last received.
+func (s *P2Site) Restore(snap P2SiteSnapshot, fhat float64) error {
+	d := s.rule.d
+	if len(snap.Gram) != d*d {
+		return fmt.Errorf("core: snapshot Gram has %d values for d=%d", len(snap.Gram), d)
+	}
+	if snap.SoleRow != nil && len(snap.SoleRow) != d {
+		return fmt.Errorf("core: sole row has %d values for d=%d", len(snap.SoleRow), d)
+	}
+	// Bit-exact adoption: the deferred-svd bounds must see exactly the
+	// matrices the saved instance held.
+	s.gram = matrix.SymFromRaw(d, snap.Gram)
+	s.fdelta = snap.Fdelta
+	s.lamBound = snap.LamBound
+	s.soleRow = nil
+	if snap.SoleRow != nil {
+		s.soleRow = append([]float64(nil), snap.SoleRow...)
+	}
+	s.empty = snap.Empty
+	s.fhat = fhat
+	return nil
+}
+
 // Snapshot captures the protocol's state.
 func (p *P2) Snapshot() P2Snapshot {
 	sites := make([]P2SiteSnapshot, len(p.sites))
 	for i := range p.sites {
-		s := &p.sites[i]
-		var sole []float64
-		if s.soleRow != nil {
-			sole = append(sole, s.soleRow...)
-		}
-		sites[i] = P2SiteSnapshot{
-			Gram: s.gram.RawData(), Fdelta: s.fdelta, LamBound: s.lamBound,
-			SoleRow: sole, Empty: s.empty,
-		}
+		sites[i] = p.sites[i].Snapshot()
 	}
+	gram, fhat, nmsg := p.coord.Snapshot()
 	return P2Snapshot{
-		M: p.m, D: p.d, Eps: p.eps, ShipFrac: p.shipFrac,
-		Fast: p.mode == IngestFast, Decomps: p.decomps,
-		Sites: sites, Gram: p.gram.RawData(),
-		CoordFhat: p.coordFhat, SiteFhat: p.siteFhat, NMsg: p.nmsg,
+		M: p.rule.m, D: p.rule.d, Eps: p.rule.eps, ShipFrac: p.rule.shipFrac,
+		Fast: p.mode == IngestFast, Decomps: p.rule.decomps,
+		Sites: sites, Gram: gram,
+		CoordFhat: fhat, SiteFhat: p.sites[0].fhat, NMsg: nmsg,
 		Stats: p.acct.Stats(),
 	}
 }
@@ -166,43 +194,20 @@ func RestoreP2(snap P2Snapshot) (*P2, error) {
 	if len(snap.Sites) != snap.M {
 		return nil, fmt.Errorf("core: snapshot has %d sites for m=%d", len(snap.Sites), snap.M)
 	}
-	restoreGram := func(data []float64) (*matrix.Sym, error) {
-		if len(data) != snap.D*snap.D {
-			return nil, fmt.Errorf("core: snapshot Gram has %d values for d=%d", len(data), snap.D)
-		}
-		// Bit-exact adoption: the deferred-svd bounds must see exactly the
-		// matrices the saved instance held.
-		return matrix.SymFromRaw(snap.D, data), nil
-	}
 	p := NewP2ShipFraction(snap.M, snap.Eps, snap.D, snap.ShipFrac)
 	if snap.Fast {
 		p.mode = IngestFast
 	}
-	gram, err := restoreGram(snap.Gram)
+	coord, err := RestoreP2Coordinator(snap.M, snap.D, snap.Gram, snap.CoordFhat, snap.NMsg)
 	if err != nil {
 		return nil, err
 	}
-	p.gram = gram
-	p.coordFhat = snap.CoordFhat
-	p.siteFhat = snap.SiteFhat
-	p.nmsg = snap.NMsg
-	p.decomps = snap.Decomps
+	p.coord = coord
+	p.rule.decomps = snap.Decomps
 	for i, s := range snap.Sites {
-		g, err := restoreGram(s.Gram)
-		if err != nil {
+		if err := p.sites[i].Restore(s, snap.SiteFhat); err != nil {
 			return nil, fmt.Errorf("core: site %d: %w", i, err)
 		}
-		if s.SoleRow != nil && len(s.SoleRow) != snap.D {
-			return nil, fmt.Errorf("core: site %d sole row has %d values for d=%d", i, len(s.SoleRow), snap.D)
-		}
-		p.sites[i].gram = g
-		p.sites[i].fdelta = s.Fdelta
-		p.sites[i].lamBound = s.LamBound
-		p.sites[i].soleRow = append([]float64(nil), s.SoleRow...)
-		if s.SoleRow == nil {
-			p.sites[i].soleRow = nil
-		}
-		p.sites[i].empty = s.Empty
 	}
 	p.acct.RestoreStats(snap.Stats)
 	return p, nil

@@ -15,6 +15,7 @@ package hh
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/gen"
 	"repro/internal/sketch"
@@ -47,12 +48,17 @@ func HeavyHitters(p Protocol, phi float64) []sketch.WeightedElement {
 		panic(fmt.Sprintf("hh: need 0 < φ ≤ 1, got %v", phi))
 	}
 	what := p.EstimateTotal()
+	return heavyHitters(p.Candidates(), what, p.Eps(), phi)
+}
+
+// heavyHitters is the query rule over candidate estimates.
+func heavyHitters(cands []sketch.WeightedElement, what, eps, phi float64) []sketch.WeightedElement {
 	if what <= 0 {
 		return nil
 	}
-	thresh := (phi - p.Eps()/2) * what
+	thresh := (phi - eps/2) * what
 	var out []sketch.WeightedElement
-	for _, c := range p.Candidates() {
+	for _, c := range cands {
 		if c.Weight >= thresh {
 			out = append(out, c)
 		}
@@ -99,9 +105,18 @@ func validateParams(m int, eps float64) {
 	}
 }
 
+// CheckWeight reports whether w is a valid item weight: finite and
+// positive.
+func CheckWeight(w float64) error {
+	if !(w > 0) || math.IsInf(w, 1) {
+		return fmt.Errorf("hh: need a finite positive weight, got %v", w)
+	}
+	return nil
+}
+
 func validateWeight(w float64) {
-	if w <= 0 {
-		panic(fmt.Sprintf("hh: need positive weight, got %v", w))
+	if err := CheckWeight(w); err != nil {
+		panic(err.Error())
 	}
 }
 

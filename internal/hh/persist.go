@@ -38,27 +38,66 @@ type P2Snapshot struct {
 // whose bounded summaries are not snapshot-stable.
 func (p *P2) Snapshotable() bool { return p.sites[0].ss == nil }
 
+// Snapshot captures the site half's state. It errors on the SpaceSaving
+// site-space variant, whose bounded summary is not snapshot-stable.
+func (s *P2Site) Snapshot() (P2SiteSnapshot, error) {
+	if s.ss != nil {
+		return P2SiteSnapshot{}, fmt.Errorf("hh: the SpaceSaving P2 variant is not persistable")
+	}
+	delta := make(map[uint64]float64, len(s.delta))
+	for e, w := range s.delta {
+		delta[e] = w
+	}
+	return P2SiteSnapshot{Weight: s.weight, Delta: delta}, nil
+}
+
+// Restore adopts a snapshot into an exact-delta site half, with the Ŵ the
+// site had last received.
+func (s *P2Site) Restore(snap P2SiteSnapshot, what float64) {
+	s.weight = snap.Weight
+	for e, w := range snap.Delta {
+		s.delta[e] = w
+	}
+	s.what = what
+}
+
+// Snapshot returns copies of the coordinator state: the estimate map, Ŵ,
+// and the scalar reports since the last broadcast.
+func (c *P2Coordinator) Snapshot() (estimate map[uint64]float64, what float64, nmsg int) {
+	estimate = make(map[uint64]float64, len(c.estimate))
+	for e, w := range c.estimate {
+		estimate[e] = w
+	}
+	return estimate, c.what, c.nmsg
+}
+
+// RestoreP2Coordinator rebuilds a coordinator half from the values its
+// Snapshot returned.
+func RestoreP2Coordinator(m int, estimate map[uint64]float64, what float64, nmsg int) *P2Coordinator {
+	c := NewP2Coordinator(m)
+	c.what = what
+	c.nmsg = nmsg
+	for e, w := range estimate {
+		c.estimate[e] = w
+	}
+	return c
+}
+
 // Snapshot captures the protocol's state. It errors on the SpaceSaving
 // site-space variant, whose bounded summaries are not snapshot-stable.
 func (p *P2) Snapshot() (P2Snapshot, error) {
 	sites := make([]P2SiteSnapshot, len(p.sites))
 	for i := range p.sites {
-		if p.sites[i].ss != nil {
-			return P2Snapshot{}, fmt.Errorf("hh: the SpaceSaving P2 variant is not persistable")
+		snap, err := p.sites[i].Snapshot()
+		if err != nil {
+			return P2Snapshot{}, err
 		}
-		delta := make(map[uint64]float64, len(p.sites[i].delta))
-		for e, w := range p.sites[i].delta {
-			delta[e] = w
-		}
-		sites[i] = P2SiteSnapshot{Weight: p.sites[i].weight, Delta: delta}
+		sites[i] = snap
 	}
-	est := make(map[uint64]float64, len(p.estimate))
-	for e, w := range p.estimate {
-		est[e] = w
-	}
+	est, what, nmsg := p.coord.Snapshot()
 	return P2Snapshot{
 		M: p.m, Eps: p.eps, Sites: sites,
-		CoordWhat: p.coordWhat, SiteWhat: p.siteWhat, NMsg: p.nmsg,
+		CoordWhat: what, SiteWhat: p.sites[0].what, NMsg: nmsg,
 		Estimate: est, Stats: p.acct.Stats(),
 	}, nil
 }
@@ -72,17 +111,9 @@ func RestoreP2(snap P2Snapshot) (*P2, error) {
 		return nil, fmt.Errorf("hh: snapshot has %d sites for m=%d", len(snap.Sites), snap.M)
 	}
 	p := NewP2(snap.M, snap.Eps)
-	p.coordWhat = snap.CoordWhat
-	p.siteWhat = snap.SiteWhat
-	p.nmsg = snap.NMsg
-	for e, w := range snap.Estimate {
-		p.estimate[e] = w
-	}
+	p.coord = RestoreP2Coordinator(snap.M, snap.Estimate, snap.CoordWhat, snap.NMsg)
 	for i, s := range snap.Sites {
-		p.sites[i].weight = s.Weight
-		for e, w := range s.Delta {
-			p.sites[i].delta[e] = w
-		}
+		p.sites[i].Restore(s, snap.SiteWhat)
 	}
 	p.acct.RestoreStats(snap.Stats)
 	return p, nil

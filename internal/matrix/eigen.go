@@ -30,8 +30,13 @@ func EigSym(s *Sym) (vals []float64, V *Dense, err error) {
 // fresh workspace (exactly EigSym). The hot factorization loops (the FD
 // sketch's blocked compress, the site runtimes) pass a per-instance
 // workspace so repeated decompositions of a fixed dimension allocate
-// nothing.
+// nothing. A matrix with a NaN or ±Inf entry fails with ErrNoConvergence.
 func EigSymWork(s *Sym, ws *EigWorkspace) (vals []float64, V *Dense, err error) {
+	for _, v := range s.data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, nil, ErrNoConvergence
+		}
+	}
 	if ws == nil {
 		ws = &EigWorkspace{}
 	}
@@ -179,6 +184,9 @@ func tql2(V *Dense, d, e []float64) error {
 				break
 			}
 			m++
+		}
+		if m == n {
+			return ErrNoConvergence // only a NaN defeats the test above
 		}
 
 		// If m == l, d[l] is an eigenvalue; otherwise iterate.

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -238,5 +239,33 @@ func TestCovarianceDiffNorm(t *testing.T) {
 	}
 	if !almostEqual(norm, 0.5, 1e-12) {
 		t.Fatalf("‖G−H‖₂ = %v want 0.5", norm)
+	}
+}
+
+// TestEigSymNonFinite pins the non-finite contract: a NaN or ±Inf entry
+// fails with ErrNoConvergence instead of panicking (a NaN used to run the
+// QL deflation search off the end of the diagonal) or returning a
+// non-finite eigenvalue.
+func TestEigSymNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, c := range []struct{ n, i, j int }{{1, 0, 0}, {3, 0, 0}, {3, 1, 2}, {4, 3, 3}} {
+			s := NewSym(c.n)
+			for k := 0; k < c.n; k++ {
+				s.Set(k, k, float64(k+1))
+			}
+			s.Set(c.i, c.j, bad)
+			if _, _, err := EigSym(s); !errors.Is(err, ErrNoConvergence) {
+				t.Errorf("EigSym with %v at (%d,%d) of %d×%d: err %v, want ErrNoConvergence", bad, c.i, c.j, c.n, c.n, err)
+			}
+			ws := NewEigWorkspace()
+			if _, _, err := EigSymWork(s, ws); !errors.Is(err, ErrNoConvergence) {
+				t.Errorf("EigSymWork with %v at (%d,%d) of %d×%d: err %v, want ErrNoConvergence", bad, c.i, c.j, c.n, c.n, err)
+			}
+		}
+	}
+	// The QL step itself refuses a NaN reaching it after tridiagonalization.
+	V := Identity(3)
+	if err := tql2(V, []float64{1, math.NaN(), 3}, []float64{0, 1, 1}); !errors.Is(err, ErrNoConvergence) {
+		t.Errorf("tql2 on a NaN diagonal: err %v, want ErrNoConvergence", err)
 	}
 }

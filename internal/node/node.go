@@ -1,21 +1,21 @@
-// Package node is the deployable runtime for the paper's protocols:
-// thread-safe site and coordinator state machines for weighted heavy
-// hitters P2, matrix tracking P2, and the sampling protocol P3 (P3Site /
-// P3Coordinator), decoupled from any transport, plus two transports —
-// in-process (direct calls from concurrent feeder goroutines) and TCP with
-// gob framing (cmd/distdemo shows a full deployment on loopback).
+// Package node is the deployable runtime for the paper's protocols: a
+// transport adapter over the protocol halves that the in-process
+// simulators also run — hh.P2Site/hh.P2Coordinator, core.P2Site/
+// core.P2Coordinator, and the sample.PrioritySampler behind P3. A node
+// adds a mutex, an outbox and a Sender: a site runs its half under its
+// lock, the half emits into the outbox, and the outbox is sent once the
+// lock is released; a coordinator applies each message to its half and
+// sends any due broadcast the same way. Input is checked at this edge
+// (row dimension, finite positive ‖row‖², finite positive weights and
+// report values) before it reaches a half.
 //
-// Every deterministic runtime half is checkpointable: persist.go defines
-// gob-encodable snapshots (including the coordinators' broadcast-estimate
-// history) with Restore constructors, and its WriteSnapshot/ReadSnapshot
-// helpers serve any snapshot type — the single-process simulators
-// (internal/core P2, internal/hh P2/Exact, internal/quantile's tracker)
-// expose matching Snapshot/Restore pairs that internal/service's
-// checkpointer writes through the same helpers.
+// Two transports carry the messages: in-process calls from concurrent
+// feeders (the Local*Cluster types) and TCP (CoordinatorServer/SiteClient)
+// framed with the internal/wire codec, so a blocked outbox crosses the
+// network as one msg-block frame; cmd/distdemo deploys it on loopback.
+// The deterministic nodes are checkpointable through gob-encodable
+// snapshots (persist.go); a site snapshot embeds the protocol's own.
 //
-// The sequential simulator in internal/hh and internal/core remains the
-// vehicle for the paper's experiments (it counts messages exactly and is
-// perfectly reproducible); this package is what a production system embeds.
 // The protocols tolerate the asynchrony by design: a site thresholds
 // against the last estimate it *received*, and the analysis (Sections 4.2
 // and 5.2) only needs that estimate to be a lower bound on the true total,
@@ -103,16 +103,6 @@ func sendAll(out Sender, ms []Message) error {
 		if err := out.Send(m); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-func validate(m int, eps float64) error {
-	if m < 1 {
-		return fmt.Errorf("node: need m ≥ 1 sites, got %d", m)
-	}
-	if eps <= 0 || eps >= 1 {
-		return fmt.Errorf("node: need 0 < ε < 1, got %v", eps)
 	}
 	return nil
 }

@@ -3,8 +3,8 @@ package node
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
+	"repro/internal/core"
 	"repro/internal/matrix"
 	"repro/internal/sample"
 )
@@ -19,15 +19,22 @@ import (
 
 // P3Site is the site half of matrix P3 (Algorithm 4.5 with rows).
 type P3Site struct {
-	id int
-	d  int
+	site
+	d   int
+	tau threshold
+	rng *rand.Rand
+}
 
-	mu   sync.Mutex
-	tau  float64
-	rng  *rand.Rand
-	sent int64
+// threshold is a P3 site's estimate: the round threshold τ, raised by
+// broadcasts.
+type threshold float64
 
-	out Sender
+func (t *threshold) Estimate() float64 { return float64(*t) }
+
+func (t *threshold) SetEstimate(v float64) {
+	if v > float64(*t) {
+		*t = threshold(v)
+	}
 }
 
 // NewP3Site builds site id for d-dimensional rows with its own RNG seed.
@@ -41,67 +48,30 @@ func NewP3Site(id, d int, seed int64, out Sender) (*P3Site, error) {
 	if out == nil {
 		return nil, fmt.Errorf("node: nil sender")
 	}
-	return &P3Site{id: id, d: d, tau: 1, rng: rand.New(rand.NewSource(seed)), out: out}, nil
+	s := &P3Site{site: site{out: out, box: outbox{site: id}}, d: d, tau: 1, rng: rand.New(rand.NewSource(seed))}
+	s.est = &s.tau
+	return s, nil
 }
-
-// ID returns the site id.
-func (s *P3Site) ID() int { return s.id }
 
 // HandleRow processes one row arrival: draw a priority and forward the row
 // iff it passes the threshold.
 func (s *P3Site) HandleRow(row []float64) error {
-	if len(row) != s.d {
-		return fmt.Errorf("node: row of length %d, want %d", len(row), s.d)
-	}
-	w := matrix.NormSq(row)
-	if w <= 0 {
-		return fmt.Errorf("node: need positive row norm")
+	if err := core.CheckRow(row, s.d); err != nil {
+		return err
 	}
 	s.mu.Lock()
-	rho := sample.Priority(w, s.rng)
-	if rho < s.tau {
-		s.mu.Unlock()
-		return nil
+	if rho := sample.Priority(matrix.NormSq(row), s.rng); rho >= float64(s.tau) {
+		s.box.msgs = append(s.box.msgs, Message{Kind: KindRow, Site: s.ID(), Value: rho, Vec: append([]float64(nil), row...)})
 	}
-	s.sent++
-	s.mu.Unlock()
-
-	stored := make([]float64, len(row))
-	copy(stored, row)
-	return s.out.Send(Message{Kind: KindRow, Site: s.id, Value: rho, Vec: stored})
-}
-
-// HandleBroadcast applies a coordinator threshold broadcast.
-func (s *P3Site) HandleBroadcast(m Message) error {
-	if m.Kind != KindEstimate {
-		return fmt.Errorf("node: site received %v message", m.Kind)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m.Value > s.tau {
-		s.tau = m.Value
-	}
-	return nil
-}
-
-// Sent returns the number of rows forwarded.
-func (s *P3Site) Sent() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sent
+	return s.flushLocked(nil)
 }
 
 // P3Coordinator is the coordinator half of matrix P3: a priority sampler
 // over forwarded rows, doubling the threshold when the high bucket fills.
 type P3Coordinator struct {
-	d int
-
-	mu       sync.Mutex
-	sampler  *sample.PrioritySampler
-	received int64
-	bcasts   int64
-
-	broadcast Sender
+	hub
+	d       int
+	sampler *sample.PrioritySampler
 }
 
 // NewP3Coordinator builds the coordinator with target sample size s for
@@ -114,37 +84,28 @@ func NewP3Coordinator(d, s int, broadcast Sender) (*P3Coordinator, error) {
 		return nil, fmt.Errorf("node: need sample size ≥ 1, got %d", s)
 	}
 	if broadcast == nil {
-		return nil, fmt.Errorf("node: nil broadcast sender")
+		return nil, errNilBroadcast
 	}
-	return &P3Coordinator{d: d, sampler: sample.NewPrioritySampler(s), broadcast: broadcast}, nil
+	c := &P3Coordinator{hub: hub{broadcast: broadcast}, d: d, sampler: sample.NewPrioritySampler(s)}
+	c.apply = c.applyLocked
+	return c, nil
 }
 
-// Handle processes one forwarded row.
-func (c *P3Coordinator) Handle(m Message) error {
+// applyLocked offers one forwarded row to the sampler; a new round
+// broadcasts the raised threshold.
+func (c *P3Coordinator) applyLocked(m Message) (bool, float64, error) {
 	if m.Kind != KindRow {
-		return fmt.Errorf("node: P3 coordinator received %v message", m.Kind)
+		return false, 0, fmt.Errorf("node: P3 coordinator received %v message", m.Kind)
 	}
 	if len(m.Vec) != c.d {
-		return fmt.Errorf("node: row of length %d, want %d", len(m.Vec), c.d)
+		return false, 0, fmt.Errorf("node: row of length %d, want %d", len(m.Vec), c.d)
 	}
-	c.mu.Lock()
-	c.received++
 	newRound := c.sampler.Offer(sample.Prioritized{
 		Weight:   matrix.NormSq(m.Vec),
 		Priority: m.Value,
 		Payload:  m.Vec,
 	})
-	var toSend *Message
-	if newRound {
-		c.bcasts++
-		toSend = &Message{Kind: KindEstimate, Value: c.sampler.Threshold()}
-	}
-	c.mu.Unlock()
-
-	if toSend != nil {
-		return c.broadcast.Send(*toSend)
-	}
-	return nil
+	return newRound, c.sampler.Threshold(), nil
 }
 
 // Gram returns the coordinator's current BᵀB estimate from the sample,
@@ -178,20 +139,6 @@ func (c *P3Coordinator) Threshold() float64 {
 	return c.sampler.Threshold()
 }
 
-// Received returns the number of rows processed.
-func (c *P3Coordinator) Received() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.received
-}
-
-// Broadcasts returns the number of threshold broadcasts issued.
-func (c *P3Coordinator) Broadcasts() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bcasts
-}
-
 // LocalP3Cluster wires P3 sites directly to a P3 coordinator in-process.
 type LocalP3Cluster struct {
 	Coordinator *P3Coordinator
@@ -201,7 +148,7 @@ type LocalP3Cluster struct {
 // NewLocalP3Cluster builds the in-process deployment of matrix P3 with the
 // paper's sample size for ε.
 func NewLocalP3Cluster(m int, eps float64, d int, seed int64) (*LocalP3Cluster, error) {
-	if err := validate(m, eps); err != nil {
+	if err := core.CheckParams(m, eps, d); err != nil {
 		return nil, err
 	}
 	fo := &fanout{}

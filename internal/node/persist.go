@@ -1,42 +1,37 @@
 package node
 
 import (
-	"encoding/gob"
-	"fmt"
-	"io"
-
-	"repro/internal/matrix"
+	"repro/internal/core"
+	"repro/internal/hh"
 )
 
 // Checkpoint/restore for the runtime nodes. Snapshots are plain exported
-// structs encoded with encoding/gob, so a deployment can persist protocol
-// state across process restarts without losing the continuous guarantee:
-// a restored node resumes exactly where the snapshot was taken (any rows or
-// items that arrived after the snapshot are the operator's replay
-// responsibility, as with any at-least-once ingestion pipeline).
+// structs (gob-encodable); a site snapshot embeds the protocol's own site
+// snapshot, so a deployment can persist protocol state across process
+// restarts without losing the continuous guarantee: a restored node
+// resumes exactly where the snapshot was taken (any rows or items that
+// arrived after the snapshot are the operator's replay responsibility, as
+// with any at-least-once ingestion pipeline).
 
 // HHSiteSnapshot is the serializable state of an HHSite.
 type HHSiteSnapshot struct {
-	ID     int
-	M      int
-	Eps    float64
-	What   float64
-	Weight float64
-	Delta  map[uint64]float64
-	SentN  int64
+	ID   int
+	M    int
+	Eps  float64
+	What float64 // Ŵ as last received
+	hh.P2SiteSnapshot
+	SentN int64
 }
 
 // Snapshot captures the site's state.
 func (s *HHSite) Snapshot() HHSiteSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delta := make(map[uint64]float64, len(s.delta))
-	for k, v := range s.delta {
-		delta[k] = v
-	}
+	// The node runtime builds exact-delta halves, which always snapshot.
+	half, _ := s.half.Snapshot()
 	return HHSiteSnapshot{
-		ID: s.id, M: s.m, Eps: s.eps,
-		What: s.what, Weight: s.weight, Delta: delta, SentN: s.sent,
+		ID: s.ID(), M: s.m, Eps: s.eps,
+		What: s.half.Estimate(), P2SiteSnapshot: half, SentN: s.sent,
 	}
 }
 
@@ -46,12 +41,8 @@ func RestoreHHSite(snap HHSiteSnapshot, out Sender) (*HHSite, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.what = snap.What
-	s.weight = snap.Weight
+	s.half.Restore(snap.P2SiteSnapshot, snap.What)
 	s.sent = snap.SentN
-	for k, v := range snap.Delta {
-		s.delta[k] = v
-	}
 	return s, nil
 }
 
@@ -71,12 +62,9 @@ type HHCoordinatorSnapshot struct {
 func (c *HHCoordinator) Snapshot() HHCoordinatorSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	est := make(map[uint64]float64, len(c.estimate))
-	for k, v := range c.estimate {
-		est[k] = v
-	}
+	est, what, nmsg := c.coord.Snapshot()
 	return HHCoordinatorSnapshot{
-		M: c.m, Eps: c.eps, What: c.what, NMsg: c.nmsg,
+		M: c.m, Eps: c.eps, What: what, NMsg: nmsg,
 		Estimate: est, Received: c.received, Bcasts: c.bcasts,
 		History: append([]float64(nil), c.history...),
 	}
@@ -88,28 +76,23 @@ func RestoreHHCoordinator(snap HHCoordinatorSnapshot, broadcast Sender) (*HHCoor
 	if err != nil {
 		return nil, err
 	}
-	c.what = snap.What
-	c.nmsg = snap.NMsg
+	c.coord = hh.RestoreP2Coordinator(snap.M, snap.Estimate, snap.What, snap.NMsg)
 	c.received = snap.Received
 	c.bcasts = snap.Bcasts
 	c.history = append([]float64(nil), snap.History...)
-	for k, v := range snap.Estimate {
-		c.estimate[k] = v
-	}
 	return c, nil
 }
 
 // MatSiteSnapshot is the serializable state of a MatSite.
 type MatSiteSnapshot struct {
-	ID       int
-	M        int
-	D        int
-	Eps      float64
-	Fhat     float64
-	Gram     []float64 // row-major d×d
-	Fdelta   float64
-	LamBound float64
-	SentN    int64
+	ID   int
+	M    int
+	D    int
+	Eps  float64
+	Fast bool
+	Fhat float64 // F̂ as last received
+	core.P2SiteSnapshot
+	SentN int64
 }
 
 // Snapshot captures the site's state.
@@ -117,25 +100,21 @@ func (s *MatSite) Snapshot() MatSiteSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return MatSiteSnapshot{
-		ID: s.id, M: s.m, D: s.d, Eps: s.eps,
-		Fhat: s.fhat, Gram: s.gram.RawData(),
-		Fdelta: s.fdelta, LamBound: s.lamBound, SentN: s.sent,
+		ID: s.ID(), M: s.m, D: s.d, Eps: s.eps, Fast: s.fast,
+		Fhat: s.half.Estimate(), P2SiteSnapshot: s.half.Snapshot(), SentN: s.sent,
 	}
 }
 
-// RestoreMatSite rebuilds a site from a snapshot.
+// RestoreMatSite rebuilds a site from a snapshot, wired to a new sender.
 func RestoreMatSite(snap MatSiteSnapshot, out Sender) (*MatSite, error) {
 	s, err := NewMatSite(snap.ID, snap.M, snap.Eps, snap.D, out)
 	if err != nil {
 		return nil, err
 	}
-	if len(snap.Gram) != snap.D*snap.D {
-		return nil, fmt.Errorf("node: snapshot Gram has %d values for d=%d", len(snap.Gram), snap.D)
+	if err := s.half.Restore(snap.P2SiteSnapshot, snap.Fhat); err != nil {
+		return nil, err
 	}
-	s.fhat = snap.Fhat
-	s.gram = matrix.SymFromData(snap.D, snap.Gram)
-	s.fdelta = snap.Fdelta
-	s.lamBound = snap.LamBound
+	s.fast = snap.Fast
 	s.sent = snap.SentN
 	return s, nil
 }
@@ -157,9 +136,10 @@ type MatCoordinatorSnapshot struct {
 func (c *MatCoordinator) Snapshot() MatCoordinatorSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	gram, fhat, nmsg := c.coord.Snapshot()
 	return MatCoordinatorSnapshot{
-		M: c.m, D: c.d, Eps: c.eps, Fhat: c.fhat, NMsg: c.nmsg,
-		Gram: c.gram.RawData(), Received: c.received, Bcasts: c.bcasts,
+		M: c.m, D: c.d, Eps: c.eps, Fhat: fhat, NMsg: nmsg,
+		Gram: gram, Received: c.received, Bcasts: c.bcasts,
 		History: append([]float64(nil), c.history...),
 	}
 }
@@ -170,24 +150,13 @@ func RestoreMatCoordinator(snap MatCoordinatorSnapshot, broadcast Sender) (*MatC
 	if err != nil {
 		return nil, err
 	}
-	if len(snap.Gram) != snap.D*snap.D {
-		return nil, fmt.Errorf("node: snapshot Gram has %d values for d=%d", len(snap.Gram), snap.D)
+	coord, err := core.RestoreP2Coordinator(snap.M, snap.D, snap.Gram, snap.Fhat, snap.NMsg)
+	if err != nil {
+		return nil, err
 	}
-	c.fhat = snap.Fhat
-	c.nmsg = snap.NMsg
-	c.gram = matrix.SymFromData(snap.D, snap.Gram)
+	c.coord = coord
 	c.received = snap.Received
 	c.bcasts = snap.Bcasts
 	c.history = append([]float64(nil), snap.History...)
 	return c, nil
-}
-
-// WriteSnapshot gob-encodes any of the snapshot types to w.
-func WriteSnapshot(w io.Writer, snap any) error {
-	return gob.NewEncoder(w).Encode(snap)
-}
-
-// ReadSnapshot gob-decodes into the given snapshot pointer.
-func ReadSnapshot(r io.Reader, snap any) error {
-	return gob.NewDecoder(r).Decode(snap)
 }

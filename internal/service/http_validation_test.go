@@ -24,7 +24,13 @@ func rawPost(t *testing.T, client *http.Client, url, body string) int {
 
 func newValidationServer(t *testing.T) (*httptest.Server, *http.Client) {
 	t.Helper()
-	mgr, err := service.Open(service.Options{PoolWorkers: 2})
+	srv, client, _ := newValidationServerWith(t, service.Options{PoolWorkers: 2})
+	return srv, client
+}
+
+func newValidationServerWith(t *testing.T, opts service.Options) (*httptest.Server, *http.Client, *service.Manager) {
+	t.Helper()
+	mgr, err := service.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +45,15 @@ func newValidationServer(t *testing.T) (*httptest.Server, *http.Client) {
 		code, doc := httpDo(t, srv.Client(), http.MethodPut, srv.URL+"/trackers/"+name, spec)
 		mustStatus(t, code, http.StatusCreated, doc)
 	}
-	return srv, srv.Client()
+	return srv, srv.Client(), mgr
+}
+
+// walAppends returns the WAL's append count, or 0 without a WAL.
+func walAppends(mgr *service.Manager) int64 {
+	if d := mgr.Metrics().Durability; d != nil {
+		return d.WAL.Appends
+	}
+	return 0
 }
 
 // TestIngestBodyTooLarge413 pins the oversized-body status: a batch over
@@ -77,26 +91,76 @@ func TestIngestBodyTooLarge413(t *testing.T) {
 // TestRowBatchRejectedWhole pins atomic row batches over HTTP: a ragged
 // batch is a 400 that ingests nothing — not even the valid rows before
 // the bad one — so a client that fixes and resends it counts each row
-// once. Non-finite rows are refused the same way.
+// once. Non-finite rows and out-of-range sites are refused the same way,
+// and with the WAL on a refused batch is never logged.
 func TestRowBatchRejectedWhole(t *testing.T) {
-	srv, client := newValidationServer(t)
-	url := srv.URL + "/trackers/gram/rows"
-	code, doc := httpDo(t, client, http.MethodPost, url,
-		map[string]any{"site": 0, "rows": [][]float64{{1, 2, 3}, {4, 5, 6}}})
-	mustStatus(t, code, http.StatusOK, doc)
-
-	for _, body := range []string{
-		`{"site":0,"rows":[[1,2,3],[4,5,6],[7,8]]}`,
-		`{"rows":[[1,2,3],[4,5,6],[7,8]]}`,
-		`{"site":1,"rows":[[1,2,3],[1e200,0,0],[7,8,9]]}`,
+	for _, opts := range []service.Options{
+		{PoolWorkers: 2},
+		{PoolWorkers: 2, DataDir: t.TempDir(), WAL: true},
 	} {
-		if code := rawPost(t, client, url, body); code != http.StatusBadRequest {
-			t.Fatalf("body %s: status %d, want 400", body, code)
-		}
-		code, doc := httpDo(t, client, http.MethodGet, srv.URL+"/trackers/gram", nil)
+		srv, client, mgr := newValidationServerWith(t, opts)
+		url := srv.URL + "/trackers/gram/rows"
+		code, doc := httpDo(t, client, http.MethodPost, url,
+			map[string]any{"site": 0, "rows": [][]float64{{1, 2, 3}, {4, 5, 6}}})
 		mustStatus(t, code, http.StatusOK, doc)
-		if got := doc["count"].(float64); got != 2 {
-			t.Fatalf("body %s: count %v after a rejected batch, want 2", body, got)
+		appends := walAppends(mgr)
+
+		for _, body := range []string{
+			`{"site":0,"rows":[[1,2,3],[4,5,6],[7,8]]}`,
+			`{"rows":[[1,2,3],[4,5,6],[7,8]]}`,
+			`{"site":1,"rows":[[1,2,3],[1e200,0,0],[7,8,9]]}`,
+			`{"rows":[[1e200,0,0]]}`,
+			`{"site":2,"rows":[[1,2,3]]}`,
+		} {
+			if code := rawPost(t, client, url, body); code != http.StatusBadRequest {
+				t.Fatalf("WAL %v, body %s: status %d, want 400", opts.WAL, body, code)
+			}
+			code, doc := httpDo(t, client, http.MethodGet, srv.URL+"/trackers/gram", nil)
+			mustStatus(t, code, http.StatusOK, doc)
+			if got := doc["count"].(float64); got != 2 {
+				t.Fatalf("WAL %v, body %s: count %v after a rejected batch, want 2", opts.WAL, body, got)
+			}
+			if got := walAppends(mgr); got != appends {
+				t.Fatalf("WAL %v, body %s: %d WAL appends after a rejected batch, want %d", opts.WAL, body, got, appends)
+			}
+		}
+	}
+}
+
+// TestItemBatchRejectedWhole is TestRowBatchRejectedWhole for item
+// batches: a bad weight, an out-of-universe value, or an out-of-range site
+// is a 400 that ingests nothing and, with the WAL on, logs nothing.
+func TestItemBatchRejectedWhole(t *testing.T) {
+	for _, opts := range []service.Options{
+		{PoolWorkers: 2},
+		{PoolWorkers: 2, DataDir: t.TempDir(), WAL: true},
+	} {
+		srv, client, mgr := newValidationServerWith(t, opts)
+		for _, tracker := range []string{"hot", "lat"} {
+			url := srv.URL + "/trackers/" + tracker + "/items"
+			code, doc := httpDo(t, client, http.MethodPost, url,
+				map[string]any{"site": 0, "items": []map[string]any{{"elem": 1, "weight": 2}}})
+			mustStatus(t, code, http.StatusOK, doc)
+		}
+		appends := walAppends(mgr)
+		for _, c := range []struct{ tracker, body string }{
+			{"hot", `{"site":0,"items":[{"elem":1,"weight":1},{"elem":2,"weight":-1}]}`},
+			{"hot", `{"items":[{"elem":1,"weight":0}]}`},
+			{"hot", `{"site":2,"items":[{"elem":1,"weight":1}]}`},
+			{"lat", `{"site":1,"items":[{"elem":1,"weight":1},{"elem":4096,"weight":1}]}`},
+			{"lat", `{"items":[{"elem":1,"weight":-1}]}`},
+		} {
+			if code := rawPost(t, client, srv.URL+"/trackers/"+c.tracker+"/items", c.body); code != http.StatusBadRequest {
+				t.Fatalf("WAL %v, %s body %s: status %d, want 400", opts.WAL, c.tracker, c.body, code)
+			}
+			code, doc := httpDo(t, client, http.MethodGet, srv.URL+"/trackers/"+c.tracker, nil)
+			mustStatus(t, code, http.StatusOK, doc)
+			if got := doc["count"].(float64); got != 1 {
+				t.Fatalf("WAL %v, %s body %s: count %v after a rejected batch, want 1", opts.WAL, c.tracker, c.body, got)
+			}
+			if got := walAppends(mgr); got != appends {
+				t.Fatalf("WAL %v, %s body %s: %d WAL appends after a rejected batch, want %d", opts.WAL, c.tracker, c.body, got, appends)
+			}
 		}
 	}
 }

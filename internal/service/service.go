@@ -124,10 +124,9 @@ type Spec struct {
 	// are dealt round-robin across P compute workers, each with a private
 	// tracker instance. For matrix trackers, combined with Fast this is
 	// the service's highest-throughput configuration. Unrelated to
-	// Options.Shards, the deprecated alias for Options.PoolWorkers (the
-	// manager-wide ingestion pool size): pool workers apply batches,
-	// compute shards run the summaries. Only windowed matrix trackers
-	// reject Shards > 1.
+	// Options.PoolWorkers (the manager-wide ingestion pool size): pool
+	// workers apply batches, compute shards run the summaries. Only
+	// windowed matrix trackers reject Shards > 1.
 	Shards int `json:"shards,omitempty"`
 }
 

@@ -244,6 +244,18 @@ func (t *Tracker) apply(req ingestReq) error {
 	var walLSN uint64
 	logged := false
 	if t.dur != nil && req.seq == 0 {
+		// A batch the session would refuse never reaches the log, where
+		// replay would refuse it again on every restart.
+		var err error
+		if req.rows != nil {
+			err = t.sess.CheckRows(req.site, req.rows)
+		} else {
+			err = t.sess.CheckItems(req.site, req.items)
+		}
+		if err != nil {
+			t.mu.Unlock()
+			return err
+		}
 		if rec := walRecord(t.name, req); rec != nil {
 			lsn, err := t.dur.stage(rec)
 			if err != nil {

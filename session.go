@@ -425,6 +425,23 @@ func (s *Session) checkRows(rows [][]float64) error {
 	return nil
 }
 
+// CheckRows reports whether the session would accept a row batch at site
+// — or, for a negative site, through ProcessRows' assigner — without
+// touching any state. A write-ahead log runs it before it makes a batch
+// durable.
+func (s *Session) CheckRows(site int, rows [][]float64) error {
+	if err := s.checkOpen(); err != nil {
+		return err
+	}
+	if s.kind != matrixKind {
+		return fmt.Errorf("%w: row batch on a %s session", ErrWrongKind, s.kind)
+	}
+	if site >= s.cfg.Sites {
+		return fmt.Errorf("%w: site %d outside [0, %d)", ErrInvalidSite, site, s.cfg.Sites)
+	}
+	return s.checkRows(rows)
+}
+
 // ProcessRows ingests a batch of matrix rows through the blocked batch
 // path: rows are dealt to sites by the session's assigner in order, and
 // consecutive same-site runs are handed to the tracker as one block. For
@@ -437,13 +454,7 @@ func (s *Session) checkRows(rows [][]float64) error {
 // rejects the whole batch, reporting its index, before any assigner draw
 // or tracker change.
 func (s *Session) ProcessRows(rows [][]float64) error {
-	if err := s.checkOpen(); err != nil {
-		return err
-	}
-	if s.kind != matrixKind {
-		return fmt.Errorf("%w: ProcessRows on a %s session", ErrWrongKind, s.kind)
-	}
-	if err := s.checkRows(rows); err != nil {
+	if err := s.CheckRows(-1, rows); err != nil {
 		return err
 	}
 	// Draw sites in row order (the per-row path draws before each ingest;
@@ -523,16 +534,10 @@ func (s *Session) ingestCoalesced(rows [][]float64, sites []int) {
 // the service layer drives. The batch is atomic, as in ProcessRows: an
 // invalid row rejects it whole, reporting the row's index.
 func (s *Session) ProcessRowsAt(site int, rows [][]float64) error {
-	if err := s.checkOpen(); err != nil {
-		return err
-	}
-	if s.kind != matrixKind {
-		return fmt.Errorf("%w: ProcessRowsAt on a %s session", ErrWrongKind, s.kind)
-	}
-	if site < 0 || site >= s.cfg.Sites {
+	if site < 0 {
 		return fmt.Errorf("%w: site %d outside [0, %d)", ErrInvalidSite, site, s.cfg.Sites)
 	}
-	if err := s.checkRows(rows); err != nil {
+	if err := s.CheckRows(site, rows); err != nil {
 		return err
 	}
 	s.ingestRows(site, rows)
@@ -636,6 +641,20 @@ func (s *Session) ingestItems(site int, items []WeightedItem) {
 	s.count += int64(len(items))
 }
 
+// CheckItems is CheckRows for item batches.
+func (s *Session) CheckItems(site int, items []WeightedItem) error {
+	if err := s.checkOpen(); err != nil {
+		return err
+	}
+	if err := s.checkItems(items); err != nil {
+		return err
+	}
+	if site >= s.cfg.Sites {
+		return fmt.Errorf("%w: site %d outside [0, %d)", ErrInvalidSite, site, s.cfg.Sites)
+	}
+	return nil
+}
+
 // ProcessItems ingests a batch of weighted items. The whole batch is
 // validated up front and applied only if clean: a rejected batch leaves
 // the session — tracker, count, assigner — exactly as it was, and the
@@ -646,10 +665,7 @@ func (s *Session) ingestItems(site int, items []WeightedItem) {
 // per site so the shard pipeline sees whole blocks (both hold the same
 // εW guarantee; see ProcessRows for the same contract on rows).
 func (s *Session) ProcessItems(items []WeightedItem) error {
-	if err := s.checkOpen(); err != nil {
-		return err
-	}
-	if err := s.checkItems(items); err != nil {
+	if err := s.CheckItems(-1, items); err != nil {
 		return err
 	}
 	n := len(items)
@@ -709,16 +725,10 @@ func (s *Session) ingestItemsCoalesced(items []WeightedItem, sites []int) {
 // front and applied only if clean, so a rejected batch leaves the session
 // untouched; the error reports the first offending item's index.
 func (s *Session) ProcessItemsAt(site int, items []WeightedItem) error {
-	if err := s.checkOpen(); err != nil {
+	if err := s.CheckItems(site, items); err != nil {
 		return err
 	}
-	if err := s.checkItems(items); err != nil {
-		return err
-	}
-	if len(items) == 0 {
-		return nil
-	}
-	if site < 0 || site >= s.cfg.Sites {
+	if site < 0 {
 		return fmt.Errorf("%w: site %d outside [0, %d)", ErrInvalidSite, site, s.cfg.Sites)
 	}
 	s.ingestItems(site, items)
